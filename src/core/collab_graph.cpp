@@ -7,7 +7,8 @@
 namespace ddos::core {
 
 CollaborationGraph CollaborationGraph::Build(
-    const data::Dataset& dataset, std::span<const CollaborationEvent> events) {
+    const data::Dataset& /*dataset*/,
+    std::span<const CollaborationEvent> events) {
   CollaborationGraph graph;
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::pair<std::uint32_t, bool>>
       edge_map;  // (a,b) -> (weight, cross_family)

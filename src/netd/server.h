@@ -14,9 +14,9 @@
 //    GET /healthz.
 //
 // Backpressure has two independent guards. Inbound, the engine itself is
-// the throttle: Push blocks in bounded backoff when shard rings fill, which
-// stops the loop from reading more socket bytes - TCP flow control then
-// pushes back on every producer. Outbound, a slow client that stops
+// the throttle: Push parks on a full shard ring until that shard's worker
+// frees space, which stops the loop from reading more socket bytes - TCP
+// flow control then pushes back on every producer. Outbound, a slow client that stops
 // reading its ACKs accrues pending reply bytes; past max_output_buffer the
 // connection is closed (reason "slow-client") rather than buffering
 // without bound.

@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "common/futex.h"
 #include "common/strings.h"
 #include "stream/sketch.h"
 
@@ -16,31 +17,17 @@ namespace {
 
 // Workers pop up to this many tasks per mutex hold: long enough to
 // amortize the lock, short enough that a snapshot barrier never waits on
-// more than one small batch.
+// more than one small batch. It is also the wake threshold: the router
+// wakes a parked worker only once a full batch is waiting, so a trickle
+// feed costs no wake syscall on the router's path.
 constexpr std::size_t kWorkerBatch = 256;
 
-// Bounded exponential backoff shared by the producer (ring full) and the
-// workers (ring empty): yield for the first kBackoffYields attempts - the
-// stall is usually one in-flight batch - then sleep, doubling from 1 us to
-// kBackoffMaxSleep so a long stall costs microwatts instead of a spinning
-// core, while the cap keeps wakeup latency bounded at ~1 ms.
-constexpr std::uint32_t kBackoffYields = 64;
-constexpr std::chrono::microseconds kBackoffMinSleep{1};
-constexpr std::chrono::microseconds kBackoffMaxSleep{1000};
-
-// One backoff step for `attempt` (0-based). Returns true when it slept
-// (as opposed to yielding), so callers can count sleeps separately.
-inline bool BackoffStep(std::uint32_t attempt) {
-  if (attempt < kBackoffYields) {
-    std::this_thread::yield();
-    return false;
-  }
-  const std::uint32_t exp =
-      std::min<std::uint32_t>(attempt - kBackoffYields, 10);  // 2^10 = 1024 us
-  const auto sleep = std::min(kBackoffMaxSleep, kBackoffMinSleep * (1u << exp));
-  std::this_thread::sleep_for(sleep);
-  return true;
-}
+// Longest park, for an idle worker (ring empty) and for the router (ring
+// full). It bounds how long records below the wake threshold wait to be
+// applied between barriers - which also keeps the daemon watchdog's
+// "depth > 0 and processed frozen" test meaningful - and bounds any wake
+// that was skipped.
+constexpr std::chrono::milliseconds kParkTimeout{1};
 
 // Sampling mask for worker batch spans: tracing every 256-record batch of a
 // multi-million-record feed would exhaust the bounded ring in seconds, and
@@ -100,10 +87,10 @@ ShardedStreamEngine::ShardedStreamEngine(
           labels);
       shard.obs_backpressure_sleeps = reg.GetCounter(
           "ddoscope_sharded_backpressure_sleeps_total",
-          "Producer backoff sleeps while the shard ring stayed full", labels);
+          "Router parks while the shard ring stayed full", labels);
       shard.obs_idle_sleeps = reg.GetCounter(
           "ddoscope_sharded_worker_idle_sleeps_total",
-          "Worker backoff sleeps while its ring stayed empty", labels);
+          "Worker parks while its ring stayed empty", labels);
       shard.obs_queue_highwater = reg.GetGauge(
           "ddoscope_sharded_queue_highwater_slots",
           "Most occupied ring slots the producer has observed", labels);
@@ -119,17 +106,26 @@ ShardedStreamEngine::ShardedStreamEngine(
 
 ShardedStreamEngine::~ShardedStreamEngine() {
   for (auto& shard : shards_) {
-    shard->stop.store(true, std::memory_order_release);
+    shard->stop.store(true);
+    WakeWorker(*shard, /*force=*/true);
   }
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
   }
 }
 
+void ShardedStreamEngine::WakeWorker(Shard& shard, bool force) {
+  Shard::Parking& p = shard.parking;
+  if (p.worker_parked.exchange(false) || force) {
+    p.work.fetch_add(1, std::memory_order_release);
+    common::FutexWake(&p.work);
+  }
+}
+
 void ShardedStreamEngine::WorkerMain(Shard* shard) {
+  Shard::Parking& p = shard->parking;
   Task task;
   std::uint64_t batches = 0;
-  std::uint32_t idle_attempts = 0;
   for (;;) {
     // Chaos park: pretend this worker wedged. Spin-sleeps (rather than a
     // condvar) so un-stalling needs no handshake and stop still wins.
@@ -137,66 +133,89 @@ void ShardedStreamEngine::WorkerMain(Shard* shard) {
            !shard->stop.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
-    bool did_work = false;
-    std::uint64_t applied = 0;
-    {
-      // Sampled span so the trace shows the worker duty cycle without
-      // flooding the bounded ring on every 256-record batch.
-      obs::SpanTimer span(
-          (batches++ & kBatchSpanSampleMask) == 0 ? trace_ : nullptr,
-          "apply_batch", "shard_worker");
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      // Pop AND apply under the mutex: once the router sees the queue
-      // empty and takes this mutex, the engine reflects every routed task.
-      for (std::size_t i = 0; i < kWorkerBatch; ++i) {
-        if (!shard->queue.TryPop(&task)) break;
-        did_work = true;
-        ++applied;
-        if (task.kind == Task::Kind::kRecord) {
-          shard->engine.PushRouted(task.record, task.has_gap, task.gap);
-        } else if (task.kind == Task::Kind::kCollab) {
-          shard->engine.PushCollab(task.obs);
-        } else {
-          ApplySpanTask(shard, task);
-        }
+    if (!shard->queue.Empty()) {
+      std::size_t applied = 0;
+      {
+        // Sampled span so the trace shows the worker duty cycle without
+        // flooding the bounded ring on every 256-record batch.
+        obs::SpanTimer span(
+            (batches++ & kBatchSpanSampleMask) == 0 ? trace_ : nullptr,
+            "apply_batch", "shard_worker");
+        std::lock_guard<std::mutex> lock(shard->mutex);
+        applied = ApplyBatchLocked(shard, &task);
       }
+      // A router parked on a full ring waits for exactly this: space. The
+      // exchange pairs with the router's: whichever comes second sees the
+      // other's side (the flag, or these pops).
+      if (applied > 0 && p.producer_parked.exchange(false)) {
+        p.space.fetch_add(1, std::memory_order_release);
+        common::FutexWake(&p.space);
+      }
+      continue;
     }
-    if (applied > 0) {
-      shard->processed.fetch_add(applied, std::memory_order_relaxed);
+    if (shard->stop.load(std::memory_order_acquire)) return;
+    // Park. Read the word before announcing (a seq_cst store, ordered
+    // before the re-check), then re-check: a wake or stop that races the
+    // announcement either shows here or has bumped the word, which makes
+    // the wait return at once. A wake the router skipped costs at most
+    // the timeout.
+    const std::uint32_t seen = p.work.load(std::memory_order_acquire);
+    p.worker_parked.store(true);
+    if (shard->queue.Empty() && !shard->stop.load(std::memory_order_acquire)) {
+      obs::MaybeAdd(shard->obs_idle_sleeps);
+      common::FutexWait(&p.work, seen, kParkTimeout);
     }
-    if (!did_work) {
-      if (shard->stop.load(std::memory_order_acquire) &&
-          shard->queue.Empty()) {
-        return;
-      }
-      if (BackoffStep(idle_attempts++)) {
-        obs::MaybeAdd(shard->obs_idle_sleeps);
-      }
+    p.worker_parked.store(false, std::memory_order_relaxed);
+  }
+}
+
+std::size_t ShardedStreamEngine::ApplyBatchLocked(Shard* shard, Task* task) {
+  std::size_t applied = 0;
+  for (; applied < kWorkerBatch && shard->queue.TryPop(task); ++applied) {
+    if (task->kind == Task::Kind::kRecord) {
+      shard->engine.PushRouted(task->record, task->has_gap, task->gap);
+    } else if (task->kind == Task::Kind::kCollab) {
+      shard->engine.PushCollab(task->obs);
     } else {
-      idle_attempts = 0;
+      ApplySpanTask(shard, *task);
     }
   }
+  if (applied > 0) {
+    shard->processed.fetch_add(applied, std::memory_order_relaxed);
+  }
+  return applied;
 }
 
 void ShardedStreamEngine::Enqueue(std::size_t shard_index, Task&& task) {
   Shard& shard = *shards_[shard_index];
   common::SpscQueue<Task>& queue = shard.queue;
-  // High-water before the push: SizeApprox is two relaxed-ish loads on
-  // cursors this thread already touches, and UpdateMax is RMW-free once the
-  // mark is established.
-  obs::MaybeUpdateMax(shard.obs_queue_highwater,
-                      static_cast<std::int64_t>(queue.SizeApprox() + 1));
-  if (queue.TryPush(std::move(task))) return;
-  // Backpressure: ring full, consumer behind. Yield first, then sleep with
-  // exponential backoff - and make the stall visible, because an invisible
-  // spin here is indistinguishable from useful router work in `top`.
-  std::uint32_t attempts = 0;
-  do {
+  Shard::Parking& p = shard.parking;
+  if (shard.obs_queue_highwater != nullptr) {
+    obs::MaybeUpdateMax(shard.obs_queue_highwater,
+                        static_cast<std::int64_t>(queue.SizeApprox() + 1));
+  }
+  while (!queue.TryPush(std::move(task))) {
+    // Backpressure: ring full, consumer behind. Make sure the worker is
+    // running, then park until it signals space after its next batch - and
+    // make the stall visible, because an invisible wait here is
+    // indistinguishable from useful router work in `top`.
     obs::MaybeAdd(shard.obs_push_retries);
-    if (BackoffStep(attempts++)) {
+    WakeWorker(shard, /*force=*/false);
+    const std::uint32_t seen = p.space.load(std::memory_order_acquire);
+    p.producer_parked.exchange(true);  // pairs with the worker's exchange
+    if (queue.SizeApprox() >= queue.capacity()) {
       obs::MaybeAdd(shard.obs_backpressure_sleeps);
+      common::FutexWait(&p.space, seen, kParkTimeout);
     }
-  } while (!queue.TryPush(std::move(task)));
+    p.producer_parked.store(false, std::memory_order_relaxed);
+  }
+  // Wake rule: only once a full worker batch is waiting. Waking on the
+  // first push would put a wake syscall on the router's path (the netd
+  // poll thread's, between a row and its ACK) for every trickle.
+  if (p.worker_parked.load(std::memory_order_relaxed) &&
+      queue.SizeApprox() >= kWorkerBatch) {
+    WakeWorker(shard, /*force=*/false);
+  }
 }
 
 void ShardedStreamEngine::Push(const data::AttackRecord& attack) {
@@ -450,13 +469,17 @@ void ShardedStreamEngine::SeedErrors(const data::IngestErrorReport& errors) {
 void ShardedStreamEngine::DrainBarrier() {
   DDOS_TRACE_SPAN(trace_, "drain_barrier", "sharded");
   for (auto& shard : shards_) {
-    while (!shard->queue.Empty()) std::this_thread::yield();
-    {
-      std::lock_guard<std::mutex> lock(shard->mutex);  // flush in-flight batch
-      // Barriers are the natural cadence for the per-shard state gauges:
-      // frequent enough to be live, far off the per-record path.
-      shard->engine.UpdateObsGauges();
+    // The mutex waits out the worker's in-flight batch; the router then
+    // applies the rest itself rather than waiting for a worker that may be
+    // parked, descheduled or stalled. Nothing can be pushed meanwhile: the
+    // router is the only producer.
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    Task task;
+    while (ApplyBatchLocked(shard.get(), &task) > 0) {
     }
+    // Barriers are the natural cadence for the per-shard state gauges:
+    // frequent enough to be live, far off the per-record path.
+    shard->engine.UpdateObsGauges();
   }
 }
 
@@ -478,7 +501,8 @@ void ShardedStreamEngine::Finish() {
   // here rather than being silently folded into the merge.
   if (worker_fatal_.load(std::memory_order_acquire)) ThrowWorkerFatal();
   for (auto& shard : shards_) {
-    shard->stop.store(true, std::memory_order_release);
+    shard->stop.store(true);
+    WakeWorker(*shard, /*force=*/true);
   }
   for (auto& shard : shards_) shard->worker.join();
   merged_ = std::make_unique<StreamEngine>(MergeShards());

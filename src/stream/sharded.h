@@ -42,10 +42,16 @@
 // alive); Push() record routing remains for non-stable sources
 // (stdin, the netd line protocol).
 //
-// Threading model: the router is the only producer; workers pop and apply
-// under a per-shard mutex. A barrier (queue drained + mutex acquired) makes
-// Snapshot/checkpoint safe mid-stream without stopping ingestion for longer
-// than the in-flight batch.
+// Threading model: the router is the only producer. Each ring has two
+// consumers, the shard's worker and the router's barrier, and both pop and
+// apply only under the per-shard mutex, so ring order is apply order. A
+// worker whose ring is empty parks on a futex word; the router wakes it
+// once a full worker batch is waiting (an idle feed trickling in below
+// that is picked up by the park's 1 ms timeout instead, keeping wake
+// syscalls off the router's path). A barrier takes each shard's mutex and
+// applies whatever the worker has not reached yet itself, so
+// Snapshot/checkpoint never wait on a parked, descheduled or stalled
+// worker - only on its in-flight batch.
 #ifndef DDOSCOPE_STREAM_SHARDED_H_
 #define DDOSCOPE_STREAM_SHARDED_H_
 
@@ -110,10 +116,11 @@ class ShardedStreamEngine {
   ShardedStreamEngine& operator=(const ShardedStreamEngine&) = delete;
 
   // Routes one attack record. When the destination ring is full the
-  // producer backs off in bounded stages - a short yield burst, then
-  // exponentially growing sleeps capped at 1 ms - so a stalled consumer
-  // does not pin a core, and every retry is counted in the per-shard
-  // push-retry metrics. Caller thread only - single producer.
+  // producer wakes the worker and parks until the worker frees space after
+  // its next batch (or 1 ms passes), so a stalled consumer does not pin a
+  // core; every failed attempt and every park is counted in the per-shard
+  // push-retry and backpressure metrics. Caller thread only - single
+  // producer.
   void Push(const data::AttackRecord& attack);
 
   // Routes one raw CSV line span (parse-in-shard ingest; see the header
@@ -191,8 +198,9 @@ class ShardedStreamEngine {
   std::vector<std::uint64_t> ProcessedCounts() const;
 
   // Test/chaos hook: parks (or unparks) a shard's worker before its next
-  // batch, simulating a wedged consumer. A stalled shard stops draining
-  // its ring but keeps honoring stop/destruction. Not for production use.
+  // batch, simulating a wedged consumer. A stalled worker stops draining
+  // its ring (barriers still drain it inline) but keeps honoring
+  // stop/destruction. Not for production use.
   void ChaosStallShard(std::size_t index, bool stalled);
 
  private:
@@ -224,7 +232,7 @@ class ShardedStreamEngine {
         : queue(queue_capacity), engine(engine_config) {}
 
     common::SpscQueue<Task> queue;
-    std::mutex mutex;        // guards engine, errors, report
+    std::mutex mutex;        // guards engine, errors, report, ring pops
     StreamEngine engine;
     // Span-parse rejections detected by this worker, with original line
     // numbers; merged and sorted across shards at DrainErrors(). The
@@ -235,16 +243,38 @@ class ShardedStreamEngine {
     std::atomic<bool> stop{false};
     std::atomic<bool> stall{false};           // ChaosStallShard park flag
     std::atomic<std::uint64_t> processed{0};  // tasks applied (watchdog)
+
+    // Park/wake handshake (common/futex.h), on its own cache line: the
+    // router reads `worker_parked` on every push. Each side bumps the
+    // other's futex word before waking it; the `*_parked` flags let it skip
+    // the syscall when nobody sleeps.
+    struct alignas(64) Parking {
+      std::atomic<std::uint32_t> work{0};    // worker parks here (ring empty)
+      std::atomic<std::uint32_t> space{0};   // router parks here (ring full)
+      std::atomic<bool> worker_parked{false};
+      std::atomic<bool> producer_parked{false};
+    } parking;
+
     std::thread worker;
 
     // Resolved obs handles (null when the config carries no registry).
     obs::Counter* obs_push_retries = nullptr;       // failed TryPush attempts
-    obs::Counter* obs_backpressure_sleeps = nullptr;  // producer slept
-    obs::Counter* obs_idle_sleeps = nullptr;        // worker slept while idle
+    obs::Counter* obs_backpressure_sleeps = nullptr;  // producer parked
+    obs::Counter* obs_idle_sleeps = nullptr;        // worker parked while idle
     obs::Gauge* obs_queue_highwater = nullptr;      // max occupied slots seen
   };
 
   void WorkerMain(Shard* shard);
+  // Wakes a parked worker; `force` bumps the futex word even when none
+  // is parked (stop, where a racing park must not sleep out its timeout).
+  static void WakeWorker(Shard& shard, bool force);
+  // Pops and applies up to one worker batch; the caller holds
+  // shard->mutex. `task` is the caller's pop target: the worker keeps one
+  // for its lifetime, so the string buffers of popped records cycle back
+  // into the ring instead of being freed on the worker and reallocated on
+  // the router every batch (a per-batch target measurably slowed the
+  // merges behind Snapshot()). Returns the number of tasks applied.
+  std::size_t ApplyBatchLocked(Shard* shard, Task* task);
   void ApplySpanTask(Shard* shard, const Task& task);
   void Enqueue(std::size_t shard_index, Task&& task);
   // Router-side rejection bookkeeping for PushLine (tally, buffer, obs,
@@ -253,8 +283,8 @@ class ShardedStreamEngine {
   // kStrict + a worker-detected rejection: barrier, collect every buffered
   // error, throw for the earliest line (deterministic across shard counts).
   [[noreturn]] void ThrowWorkerFatal();
-  // Router-side barrier: every queue observed empty and every shard mutex
-  // acquired once => all routed work has been applied. Correct because the
+  // Router-side barrier: under each shard's mutex, applies what is left in
+  // its ring => all routed work has been applied. Correct because the
   // router (the sole producer) is the thread calling it.
   void DrainBarrier();
   StreamEngine MergeShards();

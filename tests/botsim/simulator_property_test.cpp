@@ -36,7 +36,9 @@ TEST_P(SimulatorSeedSweep, AttackTableIsChronologicalWithUniqueIds) {
     const data::AttackRecord& a = ds.attacks()[i];
     EXPECT_TRUE(ids.insert(a.ddos_id).second);
     EXPECT_LT(a.start_time, a.end_time);
-    if (i > 0) EXPECT_LE(ds.attacks()[i - 1].start_time, a.start_time);
+    if (i > 0) {
+      EXPECT_LE(ds.attacks()[i - 1].start_time, a.start_time);
+    }
   }
 }
 

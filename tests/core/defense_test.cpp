@@ -40,7 +40,9 @@ TEST(SourceBlacklist, RankedByAppearances) {
   for (std::size_t i = 0; i < list.size(); ++i) {
     EXPECT_GE(list[i].appearances, 2u);
     EXPECT_FALSE(list[i].cc.empty());
-    if (i > 0) EXPECT_GE(list[i - 1].appearances, list[i].appearances);
+    if (i > 0) {
+      EXPECT_GE(list[i - 1].appearances, list[i].appearances);
+    }
   }
 }
 
@@ -69,7 +71,9 @@ TEST(WatchList, MostAttackedFirstWithPredictions) {
   for (std::size_t i = 0; i < list.size(); ++i) {
     EXPECT_GE(list[i].attack_count, 4u);
     EXPECT_GE(list[i].predicted_interval_s, 0.0);
-    if (i > 0) EXPECT_GE(list[i - 1].attack_count, list[i].attack_count);
+    if (i > 0) {
+      EXPECT_GE(list[i - 1].attack_count, list[i].attack_count);
+    }
   }
   // Predicted next attack is after the last observed attack on the target.
   const WatchedTarget& top = list.front();

@@ -22,7 +22,9 @@ TEST(ProtocolBreakdown, SortedDescendingAndComplete) {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < counts.size(); ++i) {
     total += counts[i].attacks;
-    if (i > 0) EXPECT_LE(counts[i].attacks, counts[i - 1].attacks);
+    if (i > 0) {
+      EXPECT_LE(counts[i].attacks, counts[i - 1].attacks);
+    }
   }
   EXPECT_EQ(total, SmallDataset().attacks().size());
 }
@@ -90,7 +92,9 @@ TEST(MagnitudeByFamily, SortedAndConsistent) {
     EXPECT_GE(rows[i].mean, 3.0);        // generator floor
     EXPECT_LE(rows[i].median, rows[i].p99);
     EXPECT_LE(rows[i].p99, rows[i].max);
-    if (i > 0) EXPECT_GE(rows[i - 1].mean, rows[i].mean);
+    if (i > 0) {
+      EXPECT_GE(rows[i - 1].mean, rows[i].mean);
+    }
   }
   EXPECT_EQ(total, SmallDataset().attacks().size());
 }

@@ -70,7 +70,7 @@ TEST(ReportGenerator, EmptyDataset) {
 }
 
 TEST(ReportGenerator, WritesToFile) {
-  const std::string path = ::testing::TempDir() + "/report_test.md";
+  const std::string path = ::ddos::testing::TestTempPath("report_test.md");
   WriteCharacterizationReport(path, SmallDataset(), TestGeoDb());
   std::ifstream in(path);
   ASSERT_TRUE(in.good());

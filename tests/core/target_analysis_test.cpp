@@ -77,7 +77,9 @@ TEST(OrganizationHotspots, SortedWithValidCoordinates) {
     EXPECT_GT(spots[i].attacks, 0u);
     EXPECT_GE(spots[i].attacks, spots[i].distinct_targets);
     EXPECT_TRUE(geo::IsValid(spots[i].location));
-    if (i > 0) EXPECT_GE(spots[i - 1].attacks, spots[i].attacks);
+    if (i > 0) {
+      EXPECT_GE(spots[i - 1].attacks, spots[i].attacks);
+    }
   }
 }
 

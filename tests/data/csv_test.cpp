@@ -291,7 +291,7 @@ TEST(AttackCsvReader, StreamsRecordsOneAtATime) {
 
 TEST(AttackCsvReader, OpensFilesAndReportsLineNumbers) {
   const AttackRecord a = SampleAttack();
-  const std::string path = ::testing::TempDir() + "/attacks_stream_test.csv";
+  const std::string path = ::ddos::testing::TestTempPath("attacks_stream_test.csv");
   SaveAttacksCsv(path, std::vector<AttackRecord>{a});
   AttackCsvReader reader(path);
   AttackRecord back;
@@ -452,7 +452,7 @@ TEST(AttackCsvReader, ResumeAtRecordsSurvivesLineLayoutDrift) {
 
 TEST(AttackCsv, FileSaveLoad) {
   const AttackRecord a = SampleAttack();
-  const std::string path = ::testing::TempDir() + "/attacks_test.csv";
+  const std::string path = ::ddos::testing::TestTempPath("attacks_test.csv");
   SaveAttacksCsv(path, std::vector<AttackRecord>{a});
   const auto back = LoadAttacksCsv(path);
   ASSERT_EQ(back.size(), 1u);

@@ -165,7 +165,7 @@ TEST(IngestError, QuarantineWriterPreservesRawLinesForReplay) {
 }
 
 TEST(IngestError, QuarantineWriterStagesThenPublishesAtomically) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = ::ddos::testing::TestTempDir();
   const std::string path = dir + "/quarantine_publish.csv";
   const std::string tmp = path + ".tmp";
   std::remove(path.c_str());
@@ -196,7 +196,7 @@ TEST(IngestError, QuarantineWriterStagesThenPublishesAtomically) {
 TEST(IngestError, QuarantineWriterRemovesTmpWhenRenameFails) {
   // Renaming a file over an existing non-empty directory fails, which
   // stands in for any publish-time failure: the .tmp must not survive.
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = ::ddos::testing::TestTempDir();
   const std::string path = dir + "/quarantine_rename_fail";
   const std::string tmp = path + ".tmp";
   std::remove(tmp.c_str());

@@ -11,12 +11,13 @@
 
 #include "geo/geo_db.h"
 #include "net/ipv4.h"
+#include "test_support.h"
 
 namespace ddos::geo {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return ::ddos::testing::TestTempPath(name);
 }
 
 std::string ReadFile(const std::string& path) {
@@ -52,7 +53,7 @@ void ExpectSameRecord(const GeoRecord& synth, const GeoRecord& mmdb,
   EXPECT_EQ(synth.org_kind, mmdb.org_kind) << ctx;
 }
 
-class MmdbTest : public testing::Test {
+class MmdbTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     db_ = new GeoDatabase(GeoDatabase::MakeDefault(0xfeedULL));

@@ -1,5 +1,7 @@
 #include "net/ipv4.h"
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 namespace ddos::net {
@@ -24,6 +26,14 @@ struct ParseCase {
   const char* text;
   bool valid;
 };
+
+// gtest's default printer dumps the struct's raw bytes: the address of `text`
+// and the padding after `valid`, both of which change from run to run. The
+// printed value becomes part of the registered CTest name, so print the
+// content instead to keep the names stable.
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  *os << (*c.text == '\0' ? "(empty)" : c.text) << (c.valid ? " valid" : " invalid");
+}
 
 class IPv4ParseTest : public ::testing::TestWithParam<ParseCase> {};
 

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_support.h"
+
 namespace ddos::netd {
 namespace {
 
@@ -82,7 +84,7 @@ TEST(AuthTable, EmptyTableDisablesAuth) {
 }
 
 TEST(AuthTable, LoadFileSkipsCommentsAndBlankLines) {
-  const std::string path = ::testing::TempDir() + "/netd_tokens.txt";
+  const std::string path = ::ddos::testing::TestTempPath("netd_tokens.txt");
   {
     std::ofstream out(path);
     out << "# ddoscoped token file\n"

@@ -101,7 +101,7 @@ std::string ReadToEof(int fd) {
 TEST(NetdChaosE2E, KillResumeExactlyOnce) {
   const auto& attacks = ::ddos::testing::SmallDataset().attacks();
   ASSERT_GE(attacks.size(), 90u);
-  const std::string journal = ::testing::TempDir() + "/chaos_e2e_journal.csv";
+  const std::string journal = ::ddos::testing::TestTempPath("chaos_e2e_journal.csv");
   std::remove(journal.c_str());
 
   NetdConfig config;
@@ -246,8 +246,9 @@ TEST(NetdChaosE2E, WatchdogStuckShardDegradesHealthAndRecovers) {
   std::thread loop([&server] { server.Run(); });
 
   // Stall shard 0, then feed enough rows that some land on it. While
-  // stalled, only /healthz is polled (/status snapshots the engine, which
-  // would block behind the stalled worker).
+  // stalled, only /healthz is polled: /status takes a barrier, which
+  // applies the stalled shard's ring inline and so would clear the very
+  // "depth > 0, processed frozen" state the watchdog is meant to see.
   server.engine().ChaosStallShard(0, true);
   FeedClient client("127.0.0.1", server.ingest_port());
   for (std::size_t i = 0; i < 40; ++i) client.SendRecord(attacks[i]);

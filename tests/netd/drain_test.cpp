@@ -34,7 +34,7 @@ TEST(NetdDrain, DrainCheckpointResumeEqualsUninterruptedRun) {
   const std::size_t cut = attacks.size() * 2 / 3;
 
   const std::string checkpoint =
-      ::testing::TempDir() + "/netd_drain_ckpt.bin";
+      ::ddos::testing::TestTempPath("netd_drain_ckpt.bin");
   std::remove(checkpoint.c_str());
 
   // First daemon: drained mid-feed, after `cut` records.
@@ -131,7 +131,7 @@ TEST(NetdDrain, HealthzReports503WhileDraining) {
 TEST(NetdDrain, PeriodicCheckpointWrittenDuringFeed) {
   const auto& attacks = ::ddos::testing::SmallDataset().attacks();
   const std::string checkpoint =
-      ::testing::TempDir() + "/netd_periodic_ckpt.bin";
+      ::ddos::testing::TestTempPath("netd_periodic_ckpt.bin");
   std::remove(checkpoint.c_str());
 
   NetdConfig config = DrainConfig(checkpoint);

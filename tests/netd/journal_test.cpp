@@ -31,7 +31,7 @@ Batch MakeBatch(std::size_t offset, std::size_t count,
 }
 
 std::string TempPath(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = ::ddos::testing::TestTempPath(name);
   std::remove(path.c_str());
   return path;
 }

@@ -77,7 +77,7 @@ TEST(NetdServerE2E, ThreeClientsQuotaAuthScrapeAndReplayEquivalence) {
   ASSERT_GE(attacks.size(), 90u);
 
   const std::string journal =
-      ::testing::TempDir() + "/netd_e2e_journal.csv";
+      ::ddos::testing::TestTempPath("netd_e2e_journal.csv");
   std::remove(journal.c_str());
 
   constexpr std::uint64_t kQuota = 40;

@@ -6,6 +6,7 @@
 
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
+#include "test_support.h"
 
 namespace ddos::obs {
 namespace {
@@ -135,7 +136,7 @@ TEST(MetricsTableTest, RendersAllTypes) {
 TEST(WriteMetricsFilesTest, WritesPromAndJsonSideBySide) {
   MetricsRegistry registry;
   PopulateFixture(&registry);
-  const std::string path = ::testing::TempDir() + "/obs_export_test.prom";
+  const std::string path = ::ddos::testing::TestTempPath("obs_export_test.prom");
   WriteMetricsFiles(path, registry.Snapshot());
   const MetricsSnapshot reloaded = LoadPrometheusFile(path);
   EXPECT_EQ(reloaded.CounterValue("ddoscope_ingest_records_total"), 1826u);

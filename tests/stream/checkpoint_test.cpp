@@ -213,7 +213,7 @@ TEST(Checkpoint, CorruptionIsDetectedNotHalfRestored) {
 }
 
 TEST(Checkpoint, FileWriterStagesAndRenamesAtomically) {
-  const std::string path = ::testing::TempDir() + "/ddoscope_ckpt_test.bin";
+  const std::string path = ::ddos::testing::TestTempPath("ddoscope_ckpt_test.bin");
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
 
@@ -243,7 +243,7 @@ TEST(Checkpoint, FailedRenameLeavesNoStageFileBehind) {
   // Renaming over a non-empty directory fails, standing in for any
   // publish-time failure: the writer must throw AND clean up its .tmp so
   // repeated failures cannot accumulate debris.
-  const std::string path = ::testing::TempDir() + "/ddoscope_ckpt_blocked";
+  const std::string path = ::ddos::testing::TestTempPath("ddoscope_ckpt_blocked");
   const std::string tmp = path + ".tmp";
   std::remove(tmp.c_str());
   ASSERT_EQ(::mkdir(path.c_str(), 0755), 0);

@@ -23,7 +23,7 @@ namespace {
 
 const geo::GeoMmdb& TestMmdb() {
   static const geo::GeoMmdb db = [] {
-    const std::string path = ::testing::TempDir() + "/geo_enrich_test.geo";
+    const std::string path = ::ddos::testing::TestTempPath("geo_enrich_test.geo");
     CompileGeoDatabase(::ddos::testing::TestGeoDb(), path);
     return geo::GeoMmdb::Open(path);
   }();

@@ -3,17 +3,24 @@
 // the same trace - bit-identically on every exact (integer-backed) field,
 // and within the merged rank-error bound on the sketch-backed quantiles -
 // for K in {1, 2, 8} and several simulation seeds. Plus checkpoint/resume
-// of the sharded engine, including resuming into a different shard count.
+// of the sharded engine, including resuming into a different shard count,
+// and the worker park/wake handoff (idle trickle, stalled shard, full ring,
+// shutdown).
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <future>
+#include <numeric>
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "botsim/simulator.h"
+#include "obs/metrics.h"
 #include "stream/checkpoint.h"
 #include "stream/engine.h"
 #include "stream/sharded.h"
@@ -328,6 +335,113 @@ TEST(ShardedStreamEngine, RestoreOnUsedEngineThrows) {
   used.Push(attacks.front());
   EXPECT_THROW(used.RestoreFrom(state), std::logic_error);
   used.Finish();
+}
+
+using std::chrono::milliseconds;
+using std::chrono::steady_clock;
+
+std::uint64_t TotalProcessed(const ShardedStreamEngine& engine) {
+  const std::vector<std::uint64_t> counts = engine.ProcessedCounts();
+  return std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
+}
+
+// Fewer records than one worker batch never trip the router's wake rule;
+// the parked workers must still pick them up on their own - no barrier.
+TEST(ShardedStreamEngine, IdleEngineAppliesPartialBatchWithoutBarrier) {
+  const auto& attacks = ::ddos::testing::SmallDataset().attacks();
+  ShardedStreamEngine engine;  // 2 shards
+  std::this_thread::sleep_for(milliseconds(20));  // let the workers park
+  constexpr std::size_t kRecords = 50;  // 100 tasks, < one batch per shard
+  ASSERT_GE(attacks.size(), kRecords);
+  for (std::size_t i = 0; i < kRecords; ++i) engine.Push(attacks[i]);
+
+  // Each record is two tasks: the record on its botnet's shard and the
+  // collaboration observation on its target's.
+  const steady_clock::time_point deadline = steady_clock::now() + milliseconds(1000);
+  while (TotalProcessed(engine) < 2 * kRecords &&
+         steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  EXPECT_EQ(TotalProcessed(engine), 2 * kRecords);
+  engine.Finish();
+  EXPECT_EQ(engine.merged().attacks_seen(), kRecords);
+}
+
+// A barrier applies what a stalled worker left in its ring itself. The
+// helper un-stalls the shard after 2 s at the latest, so an engine whose
+// barrier waits for the worker fails on elapsed time instead of hanging.
+TEST(ShardedStreamEngine, SnapshotDrainsStalledShardInline) {
+  const auto& attacks = ::ddos::testing::SmallDataset().attacks();
+  const std::size_t n = std::min<std::size_t>(attacks.size(), 400);
+  StreamEngine single;
+  ShardedStreamEngine sharded;  // 2 shards
+  sharded.ChaosStallShard(0, true);
+  std::this_thread::sleep_for(milliseconds(20));  // worker reaches the stall
+  for (std::size_t i = 0; i < n; ++i) {
+    single.Push(attacks[i]);
+    sharded.Push(attacks[i]);
+  }
+  ASSERT_GT(sharded.QueueDepths()[0], 0u);
+
+  std::promise<void> snapshot_done;
+  std::thread unstaller([&sharded, done = snapshot_done.get_future()] {
+    done.wait_for(std::chrono::seconds(2));
+    sharded.ChaosStallShard(0, false);
+  });
+  const steady_clock::time_point start = steady_clock::now();
+  const StreamSnapshot live = sharded.Snapshot();
+  const auto elapsed = steady_clock::now() - start;
+  snapshot_done.set_value();
+  unstaller.join();
+
+  EXPECT_LT(elapsed, milliseconds(1000));
+  EXPECT_EQ(sharded.QueueDepths()[0], 0u);
+  const StreamSnapshot reference = single.Snapshot();
+  EXPECT_EQ(live.attacks, reference.attacks);
+  EXPECT_EQ(live.family_attacks, reference.family_attacks);
+  EXPECT_EQ(live.countries, reference.countries);
+  EXPECT_EQ(live.intervals.summary.count, reference.intervals.summary.count);
+  sharded.Finish();
+  EXPECT_EQ(sharded.merged().attacks_seen(), n);
+}
+
+// A full ring parks the router until the worker frees space; nothing is
+// lost and both the failed attempt and the park are counted.
+TEST(ShardedStreamEngine, RingFullParksRouterUntilWorkerFreesSpace) {
+  const auto& attacks = ::ddos::testing::SmallDataset().attacks();
+  obs::MetricsRegistry metrics;
+  ShardedStreamEngineConfig config;
+  config.shards = 2;
+  config.queue_capacity = 4;
+  config.metrics = &metrics;
+  ShardedStreamEngine sharded(config);
+  sharded.ChaosStallShard(0, true);
+  std::this_thread::sleep_for(milliseconds(20));  // worker reaches the stall
+  std::thread unstaller([&sharded] {
+    std::this_thread::sleep_for(milliseconds(50));
+    sharded.ChaosStallShard(0, false);
+  });
+  for (const data::AttackRecord& a : attacks) sharded.Push(a);
+  unstaller.join();
+  sharded.Finish();
+
+  ExpectExactFieldsIdentical(sharded.Snapshot(), SingleEngineSnapshot(attacks));
+  const obs::MetricsSnapshot snap = metrics.Snapshot();
+  const obs::Labels shard0{{"shard", "0"}};
+  EXPECT_GE(snap.CounterValue("ddoscope_sharded_push_retries_total", shard0), 1u);
+  EXPECT_GE(snap.CounterValue("ddoscope_sharded_backpressure_sleeps_total", shard0),
+            1u);
+}
+
+TEST(ShardedStreamEngine, FinishJoinsParkedWorkersPromptly) {
+  ShardedStreamEngineConfig config;
+  config.shards = 4;
+  ShardedStreamEngine engine(config);
+  std::this_thread::sleep_for(milliseconds(20));  // every worker parks
+  const steady_clock::time_point start = steady_clock::now();
+  engine.Finish();
+  EXPECT_LT(steady_clock::now() - start, milliseconds(500));
+  EXPECT_EQ(engine.merged().attacks_seen(), 0u);
 }
 
 }  // namespace
