@@ -90,10 +90,10 @@ void BM_GeoLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_GeoLookup);
 
-// The compiled trie (geo/mmdb.h), built once from Db() and mapped back in.
-// Its Lookup is bit-identical to the synthetic path, so the deltas below
-// are pure representation cost: bit-walk + mapped record read vs the heap
-// database's block resolution.
+// The compiled file (geo/mmdb.h), built once from Db() and mapped back in.
+// Its Lookup is bit-identical to the synthetic path and reads the same /16
+// table, so the deltas below are pure representation cost: mapped
+// little-endian record and string reads vs the heap database's blocks.
 const geo::GeoMmdb& Mmdb() {
   static const geo::GeoMmdb db = [] {
     const std::string path =
@@ -112,9 +112,9 @@ std::vector<net::IPv4Address> AllocatedAddresses() {
   return ips;
 }
 
-// Addresses whose /16 is unallocated, so every lookup takes the hash
-// fallback (hoisted out of BlockForAddress's common case: in-space lookups
-// never pay for it, and these measure what the miss path still costs).
+// Addresses whose /16 is unallocated. Their table entries hold the hash
+// fallback resolved at construction, so these should cost what in-space
+// lookups cost; the pair keeps that visible.
 std::vector<net::IPv4Address> OutOfSpaceAddresses() {
   Rng rng(13);
   std::vector<net::IPv4Address> ips;

@@ -16,13 +16,27 @@ bool IsReservedFirstOctet(int octet) {
          octet == 172 || octet == 192 || octet >= 224;
 }
 
-// Stable per-address hash for jitter (independent of Rng stream position).
+// Stable per-address hash for jitter and the out-of-space fallback
+// (independent of Rng stream position).
 std::uint64_t MixBits(std::uint64_t x) {
   SplitMix64 sm(x);
   return sm.Next();
 }
 
 }  // namespace
+
+Coordinate JitteredLocation(Coordinate center, std::uint64_t seed,
+                            double jitter_deg, std::uint32_t addr_bits) {
+  const std::uint64_t h = MixBits(seed ^ (0x9e3779b97f4a7c15ULL * addr_bits));
+  const double jx =
+      (static_cast<double>(h & 0xffffffffu) / 4294967296.0 - 0.5) * 2.0 * jitter_deg;
+  const double jy =
+      (static_cast<double>(h >> 32) / 4294967296.0 - 0.5) * 2.0 * jitter_deg;
+  Coordinate loc{std::clamp(center.lat_deg + jy, -89.9, 89.9), center.lon_deg + jx};
+  while (loc.lon_deg >= 180.0) loc.lon_deg -= 360.0;
+  while (loc.lon_deg < -180.0) loc.lon_deg += 360.0;
+  return loc;
+}
 
 GeoDatabase::GeoDatabase(const WorldCatalog& catalog, const GeoDbConfig& config,
                          std::uint64_t seed)
@@ -95,7 +109,6 @@ GeoDatabase::GeoDatabase(const WorldCatalog& catalog, const GeoDbConfig& config,
   }
 
   // --- Materialize blocks. ---
-  prefix_to_block_.assign(65536, -1);
   country_blocks_.resize(catalog.size());
   std::vector<int> org_counter(catalog.size(), 0);
   Rng block_rng = rng.Fork(0x3000);
@@ -119,23 +132,20 @@ GeoDatabase::GeoDatabase(const WorldCatalog& catalog, const GeoDbConfig& config,
       b.org_kind = kKinds[block_rng.UniformInt(0, std::ssize(kKinds) - 1)];
       b.organization =
           MakeOrgName(catalog.at(ci).code, b.org_kind, ++org_counter[ci]);
-      prefix_to_block_[b.prefix] = static_cast<std::int32_t>(blocks_.size());
       country_blocks_[ci].push_back(static_cast<std::uint32_t>(blocks_.size()));
       blocks_.push_back(std::move(b));
     }
   }
 
-  // --- Pre-resolve the out-of-space fallback for every unallocated /16. ---
-  // Lookup used to rerun MixBits per out-of-space call; paying the hash once
-  // per prefix here turns BlockForAddress into a branch-free table read.
-  allocated_.assign(65536, false);
+  // --- The /16 table: every prefix gets its out-of-space fallback, then
+  // the allocated ones are overwritten with their own block. ---
+  prefix_to_block_.resize(65536);
   for (std::uint32_t p = 0; p < 65536; ++p) {
-    if (prefix_to_block_[p] >= 0) {
-      allocated_[p] = true;
-    } else {
-      prefix_to_block_[p] =
-          static_cast<std::int32_t>(MixBits(seed_ ^ p) % blocks_.size());
-    }
+    prefix_to_block_[p] =
+        static_cast<std::uint16_t>(MixBits(seed_ ^ p) % blocks_.size());
+  }
+  for (std::size_t i = 0; i < blocks_.size(); ++i) {
+    prefix_to_block_[blocks_[i].prefix] = static_cast<std::uint16_t>(i);
   }
 }
 
@@ -144,31 +154,25 @@ GeoDatabase GeoDatabase::MakeDefault(std::uint64_t seed) {
 }
 
 const GeoDatabase::Block& GeoDatabase::BlockForAddress(net::IPv4Address addr) const {
-  // Allocated and out-of-space prefixes alike resolve through the table;
-  // the fallback hash was folded in at construction.
-  return blocks_[static_cast<std::size_t>(prefix_to_block_[addr.bits() >> 16])];
+  return blocks_[prefix_to_block_[addr.bits() >> 16]];
 }
 
 bool GeoDatabase::IsAllocated(net::IPv4Address addr) const {
-  return allocated_[addr.bits() >> 16];
+  return BlockForAddress(addr).prefix == addr.bits() >> 16;
 }
 
 GeoRecord GeoDatabase::Lookup(net::IPv4Address addr) const {
   const Block& b = BlockForAddress(addr);
   const CountrySpec& country = catalog_.at(b.country);
   const CityEntry& city = cities_[b.country][b.city];
-  // Deterministic jitter per address so a bot has a stable location.
-  const std::uint64_t h = MixBits(seed_ ^ (0x9e3779b97f4a7c15ULL * addr.bits()));
-  const double jx = (static_cast<double>(h & 0xffffffffu) / 4294967296.0 - 0.5) *
-                    2.0 * config_.address_jitter_deg;
-  const double jy = (static_cast<double>(h >> 32) / 4294967296.0 - 0.5) * 2.0 *
-                    config_.address_jitter_deg;
-  Coordinate loc{std::clamp(city.center.lat_deg + jy, -89.9, 89.9),
-                 city.center.lon_deg + jx};
-  while (loc.lon_deg >= 180.0) loc.lon_deg -= 360.0;
-  while (loc.lon_deg < -180.0) loc.lon_deg += 360.0;
-  return GeoRecord{country.code, country.name, city.name,
-                   loc,          b.asn,        b.organization, b.org_kind};
+  return GeoRecord{country.code,
+                   country.name,
+                   city.name,
+                   JitteredLocation(city.center, seed_,
+                                    config_.address_jitter_deg, addr.bits()),
+                   b.asn,
+                   b.organization,
+                   b.org_kind};
 }
 
 net::IPv4Address GeoDatabase::RandomAddressInCountry(Rng& rng,

@@ -53,10 +53,18 @@ struct GeoRecord {
   OrgKind org_kind;
 };
 
+// The location a lookup reports for the address `addr_bits`: `center` plus
+// a deterministic SplitMix64 jitter of up to +/-jitter_deg on each axis,
+// latitude clamped to +/-89.9 and longitude wrapped into [-180, 180).
+// GeoDatabase and the compiled reader (geo/mmdb.h) both call this, which
+// is what keeps their lookups bit-identical.
+Coordinate JitteredLocation(Coordinate center, std::uint64_t seed,
+                            double jitter_deg, std::uint32_t addr_bits);
+
 class GeoDatabase {
  public:
-  // geo/mmdb.h serializes the full lookup state (blocks, resolved cities,
-  // seed, jitter config) into the compiled binary format.
+  // geo/mmdb.h serializes the full lookup state (/16 table, blocks,
+  // resolved cities, seed, jitter config) into the compiled binary format.
   friend class MmdbCompiler;
 
   GeoDatabase(const WorldCatalog& catalog, const GeoDbConfig& config,
@@ -70,7 +78,8 @@ class GeoDatabase {
   // generator only emits in-space addresses; this keeps Lookup total).
   GeoRecord Lookup(net::IPv4Address addr) const;
 
-  // True if `addr` falls inside an allocated /16 block.
+  // True if `addr` falls inside an allocated /16 block, i.e. the block its
+  // /16 resolves to has that /16 as its prefix.
   bool IsAllocated(net::IPv4Address addr) const;
 
   // A uniformly random address inside the given country's allocation.
@@ -108,12 +117,12 @@ class GeoDatabase {
   std::uint64_t seed_;
   std::vector<std::vector<CityEntry>> cities_;       // per country
   std::vector<Block> blocks_;                        // allocation order
-  // 65536 entries, one per /16. Allocated prefixes point at their block;
-  // unallocated ones carry their hash fallback, precomputed once at
-  // construction so the hot lookup path is a single array read either way
-  // (BlockForAddress used to re-derive the SplitMix64 fallback per call).
-  std::vector<std::int32_t> prefix_to_block_;
-  std::vector<bool> allocated_;                      // 65536 bits
+  // 65536 entries, one per /16, indexing blocks_. Allocated prefixes point
+  // at their block; unallocated ones carry their hash fallback, resolved
+  // once at construction, so a lookup is one array read either way. u16 is
+  // enough: at most 55,808 /16s are candidates. geo/mmdb.h writes this
+  // vector verbatim as the compiled file's table.
+  std::vector<std::uint16_t> prefix_to_block_;
   std::vector<std::vector<std::uint32_t>> country_blocks_;  // per country
 };
 

@@ -1,32 +1,25 @@
 #include "geo/mmdb.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <unordered_map>
-#include <vector>
-
-#include "common/rng.h"
 
 namespace ddos::geo {
 
 namespace {
 
 constexpr std::uint64_t kHeaderBytes = 88;
+constexpr std::uint32_t kTableEntries = 65536;  // one u16 per /16
 constexpr std::uint64_t kRecordEntryBytes = 36;
 constexpr std::uint64_t kCountryEntryBytes = 8;
-constexpr std::uint32_t kNoEntry = 0xffffffffu;
-constexpr std::uint32_t kLeafBit = 0x80000000u;
 constexpr std::uint32_t kMaxOrgKind = static_cast<std::uint32_t>(OrgKind::kResidentialIsp);
 
-// Same per-address hash as geo_db.cpp - the bit-identity contract hinges on
-// both sides deriving jitter and fallback from this exact function.
-std::uint64_t MixBits(std::uint64_t x) {
-  SplitMix64 sm(x);
-  return sm.Next();
+void PutU16(std::string& out, std::uint16_t v) {
+  out.push_back(static_cast<char>(v & 0xff));
+  out.push_back(static_cast<char>(v >> 8));
 }
 
 void PutU32(std::string& out, std::uint32_t v) {
@@ -39,8 +32,15 @@ void PutU64(std::string& out, std::uint64_t v) {
 
 void PutF64(std::string& out, double v) { PutU64(out, std::bit_cast<std::uint64_t>(v)); }
 
-// Single-mov little-endian loads (gcc keeps the byte-or loop as a loop, a
-// ~5x tax on the trie walk, where memcpy folds into one unaligned load).
+// Single-mov little-endian loads (gcc keeps the byte-or loop as a loop,
+// where memcpy folds into one unaligned load).
+std::uint16_t LoadU16(const char* p) {
+  std::uint16_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap16(v);
+  return v;
+}
+
 std::uint32_t LoadU32(const char* p) {
   std::uint32_t v;
   std::memcpy(&v, p, sizeof(v));
@@ -128,10 +128,15 @@ class MmdbCompiler {
       PutU32(countries, intern(c.name));
     }
 
-    // --- Record section, in allocation order. The out-of-space fallback
-    // indexes blocks_ by allocation order, so compiled record index i must
-    // be synthetic block i. Cities are resolved here: the reader never sees
-    // the per-country city tables, only each block's final (name, center).
+    // --- Table section: GeoDatabase's /16 table, verbatim. Its entries
+    // index blocks_ in allocation order, so record i is block i. ---
+    std::string table;
+    table.reserve(kTableEntries * 2);
+    for (const std::uint16_t index : db.prefix_to_block_) PutU16(table, index);
+
+    // --- Record section, in allocation order. Cities are resolved here:
+    // the reader never sees the per-country city tables, only each block's
+    // final (name, center). ---
     std::string records;
     for (const GeoDatabase::Block& b : db.blocks_) {
       const GeoDatabase::CityEntry& city = db.cities_[b.country][b.city];
@@ -141,37 +146,13 @@ class MmdbCompiler {
       PutF64(records, city.center.lon_deg);
       PutU32(records, b.asn.value());
       PutU32(records, intern(b.organization));
-      PutU32(records, static_cast<std::uint32_t>(b.org_kind));
-    }
-
-    // --- Binary trie over the allocated /16 prefixes. ---
-    struct Node {
-      std::uint32_t child[2] = {kNoEntry, kNoEntry};
-    };
-    std::vector<Node> nodes(1);
-    for (std::size_t i = 0; i < db.blocks_.size(); ++i) {
-      const std::uint16_t prefix = db.blocks_[i].prefix;
-      std::uint32_t node = 0;
-      for (int d = 15; d > 0; --d) {
-        const int bit = (prefix >> d) & 1;
-        if (nodes[node].child[bit] == kNoEntry) {
-          nodes[node].child[bit] = static_cast<std::uint32_t>(nodes.size());
-          nodes.emplace_back();
-        }
-        node = nodes[node].child[bit];
-      }
-      nodes[node].child[prefix & 1] = kLeafBit | static_cast<std::uint32_t>(i);
-    }
-    std::string trie;
-    trie.reserve(nodes.size() * 8);
-    for (const Node& n : nodes) {
-      PutU32(trie, n.child[0]);
-      PutU32(trie, n.child[1]);
+      PutU16(records, static_cast<std::uint16_t>(b.org_kind));
+      PutU16(records, b.prefix);
     }
 
     // --- Header + sections + trailing checksum. ---
-    const std::uint64_t trie_offset = kHeaderBytes;
-    const std::uint64_t record_offset = trie_offset + trie.size();
+    const std::uint64_t table_offset = kHeaderBytes;
+    const std::uint64_t record_offset = table_offset + table.size();
     const std::uint64_t country_offset = record_offset + records.size();
     const std::uint64_t string_offset = country_offset + countries.size();
 
@@ -182,16 +163,16 @@ class MmdbCompiler {
     PutU32(image, 0);  // reserved
     PutU64(image, db.seed_);
     PutF64(image, db.config_.address_jitter_deg);
-    PutU32(image, static_cast<std::uint32_t>(nodes.size()));
+    PutU32(image, kTableEntries);
     PutU32(image, static_cast<std::uint32_t>(db.blocks_.size()));
     PutU32(image, static_cast<std::uint32_t>(db.catalog_.size()));
     PutU32(image, 0);  // reserved
-    PutU64(image, trie_offset);
+    PutU64(image, table_offset);
     PutU64(image, record_offset);
     PutU64(image, country_offset);
     PutU64(image, string_offset);
     PutU64(image, strings.size());
-    image.append(trie);
+    image.append(table);
     image.append(records);
     image.append(countries);
     image.append(strings);
@@ -232,30 +213,29 @@ GeoMmdb& GeoMmdb::operator=(GeoMmdb&& other) noexcept {
 
 void GeoMmdb::MoveFrom(GeoMmdb&& other) noexcept {
   const char* old_base = other.base_;
-  std::ptrdiff_t trie_off = 0, record_off = 0, country_off = 0, string_off = 0;
+  std::ptrdiff_t table_off = 0, record_off = 0, country_off = 0, string_off = 0;
   if (old_base != nullptr) {
-    trie_off = other.trie_ - old_base;
+    table_off = other.table_ - old_base;
     record_off = other.records_ - old_base;
     country_off = other.countries_ - old_base;
     string_off = other.strings_ - old_base;
   }
   file_ = std::move(other.file_);
   path_ = std::move(other.path_);
-  node_count_ = other.node_count_;
   record_count_ = other.record_count_;
   country_count_ = other.country_count_;
   seed_ = other.seed_;
   jitter_deg_ = other.jitter_deg_;
   if (old_base != nullptr) {
     base_ = file_.view().data();
-    trie_ = base_ + trie_off;
+    table_ = base_ + table_off;
     records_ = base_ + record_off;
     countries_ = base_ + country_off;
     strings_ = base_ + string_off;
   } else {
-    base_ = trie_ = records_ = countries_ = strings_ = nullptr;
+    base_ = table_ = records_ = countries_ = strings_ = nullptr;
   }
-  other.base_ = other.trie_ = other.records_ = other.countries_ = other.strings_ =
+  other.base_ = other.table_ = other.records_ = other.countries_ = other.strings_ =
       nullptr;
 }
 
@@ -279,7 +259,9 @@ GeoMmdb GeoMmdb::Open(const std::string& path) {
   const std::uint32_t version = LoadU32(bytes.data() + 8);
   if (version != kGeoMmdbVersion) {
     Fail(GeoFormatError::Kind::kUnsupportedVersion,
-         "unsupported version " + std::to_string(version));
+         "unsupported version " + std::to_string(version) + " in " + path +
+             " (this reader reads version " + std::to_string(kGeoMmdbVersion) +
+             "; recompile it with `ddoscope geo compile`)");
   }
   if (bytes.size() < kHeaderBytes + 8) {
     Fail(GeoFormatError::Kind::kTruncated, "file ends inside the header");
@@ -289,10 +271,10 @@ GeoMmdb GeoMmdb::Open(const std::string& path) {
   db.base_ = base;
   db.seed_ = LoadU64(base + 16);
   db.jitter_deg_ = LoadF64(base + 24);
-  db.node_count_ = LoadU32(base + 32);
+  const std::uint32_t table_entries = LoadU32(base + 32);
   db.record_count_ = LoadU32(base + 36);
   db.country_count_ = LoadU32(base + 40);
-  const std::uint64_t trie_offset = LoadU64(base + 48);
+  const std::uint64_t table_offset = LoadU64(base + 48);
   const std::uint64_t record_offset = LoadU64(base + 56);
   const std::uint64_t country_offset = LoadU64(base + 64);
   const std::uint64_t string_offset = LoadU64(base + 72);
@@ -319,22 +301,22 @@ GeoMmdb GeoMmdb::Open(const std::string& path) {
   }
 
   // Structural validation, once, so Lookup never has to check anything.
-  if (db.node_count_ == 0 || db.node_count_ >= kLeafBit) {
-    Fail(GeoFormatError::Kind::kCorruptField, "node count out of range");
+  if (table_entries != kTableEntries) {
+    Fail(GeoFormatError::Kind::kCorruptField, "table entry count is not 65536");
   }
-  if (db.record_count_ == 0 || db.record_count_ >= kLeafBit) {
+  if (db.record_count_ == 0 || db.record_count_ > kTableEntries) {
     Fail(GeoFormatError::Kind::kCorruptField, "record count out of range");
   }
   if (db.country_count_ == 0) {
     Fail(GeoFormatError::Kind::kCorruptField, "empty country table");
   }
-  if (trie_offset != kHeaderBytes ||
-      record_offset != trie_offset + db.node_count_ * 8ULL ||
+  if (table_offset != kHeaderBytes ||
+      record_offset != table_offset + kTableEntries * 2ULL ||
       country_offset != record_offset + db.record_count_ * kRecordEntryBytes ||
       string_offset != country_offset + db.country_count_ * kCountryEntryBytes) {
     Fail(GeoFormatError::Kind::kCorruptField, "section offsets disagree with counts");
   }
-  db.trie_ = base + trie_offset;
+  db.table_ = base + table_offset;
   db.records_ = base + record_offset;
   db.countries_ = base + country_offset;
   db.strings_ = base + string_offset;
@@ -344,20 +326,12 @@ GeoMmdb GeoMmdb::Open(const std::string& path) {
     const std::uint32_t len = LoadU32(db.strings_ + ref);
     return ref + 4ULL + len <= string_bytes;
   };
-  for (std::uint64_t n = 0; n < db.node_count_; ++n) {
-    for (int bit = 0; bit < 2; ++bit) {
-      const std::uint32_t child = LoadU32(db.trie_ + n * 8 + bit * 4);
-      if (child == kNoEntry) continue;
-      if ((child & kLeafBit) != 0) {
-        if ((child & ~kLeafBit) >= db.record_count_) {
-          Fail(GeoFormatError::Kind::kCorruptField, "trie leaf past the record table");
-        }
-      } else if (child >= db.node_count_) {
-        Fail(GeoFormatError::Kind::kCorruptField, "trie child past the node table");
-      }
+  for (std::uint32_t p = 0; p < kTableEntries; ++p) {
+    if (LoadU16(db.table_ + p * 2ULL) >= db.record_count_) {
+      Fail(GeoFormatError::Kind::kCorruptField, "table entry past the record table");
     }
   }
-  for (std::uint64_t r = 0; r < db.record_count_; ++r) {
+  for (std::uint32_t r = 0; r < db.record_count_; ++r) {
     const char* rec = db.records_ + r * kRecordEntryBytes;
     if (LoadU32(rec) >= db.country_count_) {
       Fail(GeoFormatError::Kind::kCorruptField, "record country index out of range");
@@ -365,8 +339,12 @@ GeoMmdb GeoMmdb::Open(const std::string& path) {
     if (!valid_string_ref(LoadU32(rec + 4)) || !valid_string_ref(LoadU32(rec + 28))) {
       Fail(GeoFormatError::Kind::kCorruptField, "record string ref out of range");
     }
-    if (LoadU32(rec + 32) > kMaxOrgKind) {
+    if (LoadU16(rec + 32) > kMaxOrgKind) {
       Fail(GeoFormatError::Kind::kCorruptField, "record org kind out of range");
+    }
+    // The prefix must map back, or IsAllocated would misreport its block.
+    if (LoadU16(db.table_ + LoadU16(rec + 34) * 2ULL) != r) {
+      Fail(GeoFormatError::Kind::kCorruptField, "record prefix does not map back to it");
     }
   }
   for (std::uint64_t c = 0; c < db.country_count_; ++c) {
@@ -382,35 +360,12 @@ std::string_view GeoMmdb::StringAt(std::uint32_t ref) const {
   return std::string_view(strings_ + ref + 4, LoadU32(strings_ + ref));
 }
 
-std::uint32_t GeoMmdb::RecordIndexFor(std::uint32_t bits, bool* allocated) const {
-  std::uint32_t node = 0;
-  for (int b = 31; b >= 0; --b) {
-    const std::uint32_t child =
-        LoadU32(trie_ + std::uint64_t{node} * 8 + ((bits >> b) & 1u) * 4);
-    if (child == kNoEntry) break;
-    if ((child & kLeafBit) != 0) {
-      *allocated = true;
-      return child & ~kLeafBit;
-    }
-    node = child;
-  }
-  // Out-of-space fallback: the synthetic database's exact hash over the /16
-  // prefix, modulo the same allocation-ordered record table.
-  *allocated = false;
-  return static_cast<std::uint32_t>(MixBits(seed_ ^ (bits >> 16)) % record_count_);
+const char* GeoMmdb::RecordFor(std::uint32_t bits) const {
+  return records_ + LoadU16(table_ + (bits >> 16) * 2ULL) * kRecordEntryBytes;
 }
 
 bool GeoMmdb::IsAllocated(net::IPv4Address addr) const {
-  const std::uint32_t bits = addr.bits();
-  std::uint32_t node = 0;
-  for (int b = 31; b >= 0; --b) {
-    const std::uint32_t child =
-        LoadU32(trie_ + std::uint64_t{node} * 8 + ((bits >> b) & 1u) * 4);
-    if (child == kNoEntry) return false;
-    if ((child & kLeafBit) != 0) return true;
-    node = child;
-  }
-  return false;
+  return LoadU16(RecordFor(addr.bits()) + 34) == addr.bits() >> 16;
 }
 
 GeoRecord GeoMmdb::Lookup(net::IPv4Address addr) const {
@@ -419,29 +374,17 @@ GeoRecord GeoMmdb::Lookup(net::IPv4Address addr) const {
 }
 
 GeoRecord GeoMmdb::Lookup(net::IPv4Address addr, bool* allocated) const {
-  const std::uint32_t rec_index = RecordIndexFor(addr.bits(), allocated);
-  const char* rec = records_ + std::uint64_t{rec_index} * kRecordEntryBytes;
+  const char* rec = RecordFor(addr.bits());
   const char* country = countries_ + std::uint64_t{LoadU32(rec)} * kCountryEntryBytes;
-
-  // The jitter math below mirrors GeoDatabase::Lookup line for line; the
-  // equivalence tests hold both sides to bit-equal doubles.
-  const std::uint64_t h = MixBits(seed_ ^ (0x9e3779b97f4a7c15ULL * addr.bits()));
-  const double jx = (static_cast<double>(h & 0xffffffffu) / 4294967296.0 - 0.5) *
-                    2.0 * jitter_deg_;
-  const double jy = (static_cast<double>(h >> 32) / 4294967296.0 - 0.5) * 2.0 *
-                    jitter_deg_;
-  Coordinate loc{std::clamp(LoadF64(rec + 8) + jy, -89.9, 89.9),
-                 LoadF64(rec + 16) + jx};
-  while (loc.lon_deg >= 180.0) loc.lon_deg -= 360.0;
-  while (loc.lon_deg < -180.0) loc.lon_deg += 360.0;
-
+  *allocated = LoadU16(rec + 34) == addr.bits() >> 16;
   return GeoRecord{StringAt(LoadU32(country)),
                    StringAt(LoadU32(country + 4)),
                    StringAt(LoadU32(rec + 4)),
-                   loc,
+                   JitteredLocation({LoadF64(rec + 8), LoadF64(rec + 16)}, seed_,
+                                    jitter_deg_, addr.bits()),
                    net::Asn(LoadU32(rec + 24)),
                    StringAt(LoadU32(rec + 28)),
-                   static_cast<OrgKind>(LoadU32(rec + 32))};
+                   static_cast<OrgKind>(LoadU16(rec + 32))};
 }
 
 }  // namespace ddos::geo

@@ -1,33 +1,35 @@
 // Compiled, memory-mapped IP-geolocation database (mmdb-style).
 //
 // GeoDatabase derives its entire lookup state from (catalog, config, seed)
-// at construction - tens of milliseconds of RNG-driven allocation that every
+// at construction - milliseconds of RNG-driven allocation that every
 // process, shard sweep, and bench run pays again. This module compiles that
 // state once into a versioned, checksummed binary file and serves lookups
-// straight out of a read-only mapping: open is O(validation), a lookup is an
-// O(32) bit-walk down a binary prefix trie plus one record read, and the
-// mapping is shareable across shards and processes (common/mmapio.h).
+// straight out of a read-only mapping: open is O(validation), a lookup is
+// one /16 table read plus one record read, and the mapping is shareable
+// across shards and processes (common/mmapio.h).
 //
 // Lookup is bit-identical to GeoDatabase::Lookup over the entire address
-// space: the compiled file carries the generator seed and jitter config, so
-// the reader replays the exact SplitMix64 per-address jitter and the exact
-// out-of-space hash fallback. That is the contract that lets the streaming
-// hot path enrich records live (stream/geo_enrich.h) while the batch
-// analyses keep using the synthetic database interchangeably.
+// space by construction: the file's table is GeoDatabase's own /16 table
+// (out-of-space fallback already resolved), its records are GeoDatabase's
+// blocks in allocation order, and both readers derive the per-address
+// location through the one JitteredLocation (geo/geo_db.h) from the seed
+// and jitter config the file carries. That is the contract that lets the
+// streaming hot path enrich records live (stream/geo_enrich.h) while the
+// batch analyses keep using the synthetic database interchangeably.
 //
 // File layout (all integers little-endian, common/binio.h):
 //
 //   offset  size  field
 //   0       8     magic "DDGEOMDB"
-//   8       4     format version (1)
+//   8       4     format version (2)
 //   12      4     reserved (0)
 //   16      8     generator seed
 //   24      8     address_jitter_deg (IEEE-754 bit pattern)
-//   32      4     trie node count
+//   32      4     table entry count (always 65,536)
 //   36      4     record count (allocated /16 blocks, allocation order)
 //   40      4     country count
 //   44      4     reserved (0)
-//   48      8     trie section offset
+//   48      8     table section offset
 //   56      8     record section offset
 //   64      8     country section offset
 //   72      8     string table offset
@@ -40,27 +42,28 @@
 //                 Open's validation at memory speed where byte-serial FNV
 //                 would dominate it
 //
-// Trie section: node_count entries of two u32 children (bit 0, bit 1).
-// A child is 0xffffffff (no entry -> fallback), an internal node index
-// (< 0x80000000), or a leaf: high bit set, low 31 bits the record index.
-// Every allocated /16 terminates in a leaf at depth 16; the walk reads at
-// most 32 bits of the address.
+// Table section: 65,536 u16 record indices, one per /16 (index = the
+// address's high 16 bits). Unallocated /16s hold their fallback record.
 //
 // Record section: fixed 36-byte entries - u32 country index, u32 city-name
 // string ref, f64 city latitude, f64 city longitude, u32 ASN, u32
-// organization string ref, u32 org kind. Country section: 8-byte entries -
-// u32 code string ref, u32 name string ref. String table: deduplicated
-// entries of u32 length + bytes; a "string ref" is the byte offset of an
-// entry from the table start.
+// organization string ref, u16 org kind, u16 the block's /16 prefix. An
+// address is allocated exactly when its record's prefix equals its own
+// /16, so one table read and one record read answer Lookup and IsAllocated
+// together. Country section: 8-byte entries - u32 code string ref, u32 name
+// string ref. String table: deduplicated entries of u32 length + bytes; a
+// "string ref" is the byte offset of an entry from the table start.
 //
 // Version policy and failure taxonomy follow data/binrecords.h: the version
-// names the whole layout, readers refuse unknown versions, and every way a
-// file can be refused is a typed GeoFormatError - magic and version are
-// checked first, then the declared size (truncation), then the checksum
-// (bit rot), and only then the structure, so a corrupt field diagnosis
-// means the bytes checksummed clean but are internally inconsistent. The
-// compiler stages to `path + ".tmp"` and renames into place, so a crash
-// mid-compile never leaves a torn file at the final path.
+// names the whole layout, and readers refuse every other version - a
+// compiled file is derived data, so an old one is recompiled (`ddoscope geo
+// compile`), not read. Every way a file can be refused is a typed
+// GeoFormatError - magic and version are checked first, then the declared
+// size (truncation), then the checksum (bit rot), and only then the
+// structure, so a corrupt field diagnosis means the bytes checksummed clean
+// but are internally inconsistent. The compiler stages to `path + ".tmp"`
+// and renames into place, so a crash mid-compile never leaves a torn file
+// at the final path.
 #ifndef DDOSCOPE_GEO_MMDB_H_
 #define DDOSCOPE_GEO_MMDB_H_
 
@@ -76,7 +79,7 @@
 namespace ddos::geo {
 
 inline constexpr std::string_view kGeoMmdbMagic = "DDGEOMDB";
-inline constexpr std::uint32_t kGeoMmdbVersion = 1;
+inline constexpr std::uint32_t kGeoMmdbVersion = 2;
 
 // Typed failure: every way a compiled geo file can be refused.
 class GeoFormatError : public std::runtime_error {
@@ -128,16 +131,13 @@ class GeoMmdb {
   // including per-address jitter and the out-of-space fallback.
   GeoRecord Lookup(net::IPv4Address addr) const;
 
-  // Same lookup, one trie walk: also reports whether the address resolved
-  // through an allocated /16 leaf (false = hash fallback). The streaming
-  // enricher's form - Lookup + IsAllocated as separate calls would walk
-  // the trie twice per record.
+  // Same lookup, also reporting whether the address lies in an allocated
+  // /16 (false = hash fallback). The streaming enricher's form.
   GeoRecord Lookup(net::IPv4Address addr, bool* allocated) const;
 
-  // True if `addr`'s /16 terminates in a trie leaf (an allocated block).
+  // True if `addr`'s /16 is an allocated block.
   bool IsAllocated(net::IPv4Address addr) const;
 
-  std::uint32_t node_count() const { return node_count_; }
   std::uint32_t record_count() const { return record_count_; }
   std::uint32_t country_count() const { return country_count_; }
   std::uint64_t seed() const { return seed_; }
@@ -149,19 +149,17 @@ class GeoMmdb {
 
  private:
   void MoveFrom(GeoMmdb&& other) noexcept;
-  // Trie walk only: the record index for `addr` (fallback applied);
-  // `*allocated` reports which path produced it.
-  std::uint32_t RecordIndexFor(std::uint32_t bits, bool* allocated) const;
+  // The 36-byte record `addr`'s /16 resolves to (fallback applied).
+  const char* RecordFor(std::uint32_t bits) const;
   std::string_view StringAt(std::uint32_t ref) const;
 
   io::MmapFile file_;
   std::string path_;
   const char* base_ = nullptr;   // file_.view().data()
-  const char* trie_ = nullptr;
+  const char* table_ = nullptr;
   const char* records_ = nullptr;
   const char* countries_ = nullptr;
   const char* strings_ = nullptr;
-  std::uint32_t node_count_ = 0;
   std::uint32_t record_count_ = 0;
   std::uint32_t country_count_ = 0;
   std::uint64_t seed_ = 0;

@@ -141,42 +141,33 @@ JournalContents ReadJournal(const std::string& path) {
   }
   JournalContents contents;
   std::string line;
-  bool first = true;
-  bool v2 = false;
+  if (!std::getline(in, line)) return contents;  // empty: nothing journaled
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  if (line != kJournalHeader) {
+    throw std::runtime_error("netd: journal " + path + " does not start with `" +
+                             std::string(kJournalHeader) +
+                             "` (headerless v1 journals are not read)");
+  }
   while (std::getline(in, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (first) {
-      first = false;
-      if (line == kJournalHeader) {
-        v2 = true;
-        continue;
-      }
-      // v1: bare attack CSV; tolerate (and skip) its header line.
-      if (line.rfind("ddos_id,", 0) == 0) continue;
-    }
     if (line.empty()) continue;
     JournalEntry entry;
-    std::string row;
-    if (v2) {
-      const std::size_t t1 = line.find('\t');
-      const std::size_t t2 =
-          t1 == std::string::npos ? t1 : line.find('\t', t1 + 1);
-      if (t2 == std::string::npos) {
-        contents.torn_tail = true;
-        continue;  // a line the crash tore; later lines cannot exist
-      }
-      const std::string sid = line.substr(0, t1);
-      const auto seq = ParseInt64(line.substr(t1 + 1, t2 - t1 - 1));
-      if (!seq.has_value() || *seq < 0) {
-        contents.torn_tail = true;
-        continue;
-      }
-      entry.session = sid == "-" ? std::string() : sid;
-      entry.seq = static_cast<std::uint64_t>(*seq);
-      row = line.substr(t2 + 1);
-    } else {
-      row = line;
+    const std::size_t t1 = line.find('\t');
+    const std::size_t t2 =
+        t1 == std::string::npos ? t1 : line.find('\t', t1 + 1);
+    if (t2 == std::string::npos) {
+      contents.torn_tail = true;
+      continue;  // a line the crash tore; later lines cannot exist
     }
+    const std::string sid = line.substr(0, t1);
+    const auto seq = ParseInt64(line.substr(t1 + 1, t2 - t1 - 1));
+    if (!seq.has_value() || *seq < 0) {
+      contents.torn_tail = true;
+      continue;
+    }
+    entry.session = sid == "-" ? std::string() : sid;
+    entry.seq = static_cast<std::uint64_t>(*seq);
+    const std::string row = line.substr(t2 + 1);
     data::IngestError err;
     if (!data::TryParseAttackLine(row, &entry.record, &err)) {
       contents.torn_tail = true;

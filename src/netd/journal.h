@@ -14,8 +14,10 @@
 //   <session-id>\t<session-seq>\t<attack CSV row>
 //
 // `session-id` is `-` and `session-seq` is 0 for sessionless feeds (plain
-// FeedClient / nc). Version-1 journals (bare attack CSV with header) are
-// still readable so pre-existing archives replay.
+// FeedClient / nc). The reader requires the header: a headerless file
+// (version 1, bare attack CSV, written only by pre-release builds) is
+// refused, because `--resume` would append v2 lines to it that no reader
+// could then parse.
 //
 // Batch atomicity: AppendBatch writes a whole poll-tick's records as one
 // buffer and either all of it lands or none does - a failed or short
@@ -116,9 +118,10 @@ struct JournalContents {
   bool torn_tail = false;  // trailing unparseable line(s) were dropped
 };
 
-// Reads a v2 (or v1 CSV) journal. Unparseable trailing lines - a batch a
-// kill interrupted mid-write - are dropped and flagged, never fatal.
-// Throws std::runtime_error only when the file cannot be opened.
+// Reads a v2 journal. An empty file reads as empty. Unparseable trailing
+// lines - a batch a kill interrupted mid-write - are dropped and flagged,
+// never fatal. Throws std::runtime_error, naming the path, when the file
+// cannot be opened or is not empty and does not start with the v2 header.
 JournalContents ReadJournal(const std::string& path);
 
 }  // namespace ddos::netd

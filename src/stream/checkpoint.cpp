@@ -14,27 +14,20 @@ namespace {
 
 constexpr char kMagic[8] = {'D', 'D', 'S', 'C', 'K', 'P', 'T', '\n'};
 
-// The version argument pins the meta layout: 3/4 carry source_offset after
-// source_line, 1/2 (legacy) do not and read back as offset 0.
-void WriteMeta(std::ostream& out, const CheckpointMeta& meta,
-               std::uint32_t version) {
+void WriteMeta(std::ostream& out, const CheckpointMeta& meta) {
   io::WriteU64(out, meta.records);
   io::WriteU64(out, meta.source_line);
-  if (version >= kCheckpointVersion) io::WriteU64(out, meta.source_offset);
+  io::WriteU64(out, meta.source_offset);
   for (const std::uint64_t n : meta.errors.counts) io::WriteU64(out, n);
 }
 
-CheckpointMeta ReadMeta(std::istream& in, std::uint32_t version) {
+CheckpointMeta ReadMeta(std::istream& in) {
   CheckpointMeta meta;
   meta.records = io::ReadU64(in);
   meta.source_line = io::ReadU64(in);
-  if (version >= kCheckpointVersion) meta.source_offset = io::ReadU64(in);
+  meta.source_offset = io::ReadU64(in);
   for (std::uint64_t& n : meta.errors.counts) n = io::ReadU64(in);
   return meta;
-}
-
-bool IsSingleEngineVersion(std::uint32_t version) {
-  return version == kCheckpointVersion || version == kLegacyCheckpointVersion;
 }
 
 // Frames a fully-built payload: magic, version, size, payload, checksum.
@@ -58,10 +51,10 @@ std::pair<std::uint32_t, std::string> ReadFramed(std::istream& in) {
     throw std::runtime_error("checkpoint: bad magic (not a checkpoint file)");
   }
   const std::uint32_t version = io::ReadU32(in);
-  if (version < kLegacyCheckpointVersion || version > kShardedCheckpointVersion) {
+  if (version != kCheckpointVersion && version != kShardedCheckpointVersion) {
     throw std::runtime_error(
         "checkpoint: unsupported version " + std::to_string(version) +
-        " (expected " + std::to_string(kLegacyCheckpointVersion) + ".." +
+        " (expected " + std::to_string(kCheckpointVersion) + " or " +
         std::to_string(kShardedCheckpointVersion) + ")");
   }
   const std::uint64_t payload_size = io::ReadU64(in);
@@ -108,8 +101,8 @@ ShardedCheckpointState ParseShardedPayload(std::uint32_t version,
                                            const std::string& payload) {
   std::istringstream in(payload);
   ShardedCheckpointState state;
-  state.meta = ReadMeta(in, version);
-  if (IsSingleEngineVersion(version)) {
+  state.meta = ReadMeta(in);
+  if (version == kCheckpointVersion) {
     state.engines.push_back(StreamEngine::Deserialize(in));
     const StreamEngine& engine = state.engines.front();
     state.router_attacks = engine.attacks_seen();
@@ -137,7 +130,7 @@ ShardedCheckpointState ParseShardedPayload(std::uint32_t version,
 void WriteCheckpoint(std::ostream& out, const StreamEngine& engine,
                      const CheckpointMeta& meta) {
   std::ostringstream payload;
-  WriteMeta(payload, meta, kCheckpointVersion);
+  WriteMeta(payload, meta);
   engine.SerializeTo(payload);
   WriteFramed(out, kCheckpointVersion, payload.str());
 }
@@ -174,7 +167,7 @@ void WriteShardedCheckpoint(std::ostream& out,
     throw std::runtime_error("checkpoint: no engine sections to write");
   }
   std::ostringstream payload;
-  WriteMeta(payload, state.meta, kShardedCheckpointVersion);
+  WriteMeta(payload, state.meta);
   io::WriteU32(payload, static_cast<std::uint32_t>(state.engines.size()));
   io::WriteU64(payload, state.router_attacks);
   io::WriteI64(payload, state.router_first_start_s);

@@ -16,17 +16,18 @@
 //   20      n     payload (see below)
 //   20+n    8     FNV-1a 64 checksum of the payload
 //
-// Versions 1/3 payload: CheckpointMeta, then one StreamEngine::SerializeTo.
-// Versions 2/4 payload (sharded ingest, stream/sharded.h): CheckpointMeta,
-// u32 shard count S, router position (u64 attacks, i64 first start, i64
-// last start), then S StreamEngine sections. Versions 3/4 extend the meta
-// with the byte offset into the source feed (span-offset resume for the
-// mmap ingest path); 1/2 are the pre-offset layouts and readers accept all
-// four, with legacy files yielding source_offset = 0 (the line-count
-// resume path still works from source_line). ReadCheckpoint accepts any
-// version - a sharded file with S > 1 is folded into one engine through
-// StreamEngine::Merge - while ReadShardedCheckpoint preserves the sections
-// so a sharded resume can hand each worker its own state back.
+// CheckpointMeta is u64 records, u64 source line, u64 source byte offset
+// (span-offset resume for the mmap ingest path), then the per-kind error
+// counts. Version 3 payload: CheckpointMeta, then one
+// StreamEngine::SerializeTo. Version 4 payload (sharded ingest,
+// stream/sharded.h): CheckpointMeta, u32 shard count S, router position
+// (u64 attacks, i64 first start, i64 last start), then S StreamEngine
+// sections. Readers accept exactly these two versions; 1 and 2, the
+// layouts without the source offset, were only written by pre-release
+// builds. ReadCheckpoint accepts either - a sharded file with S > 1 is
+// folded into one engine through StreamEngine::Merge - while
+// ReadShardedCheckpoint preserves the sections so a sharded resume can
+// hand each worker its own state back.
 //
 // Readers verify magic, version, size and checksum before touching the
 // payload and throw std::runtime_error on any mismatch: a torn or
@@ -46,12 +47,9 @@
 
 namespace ddos::stream {
 
-// Current write versions; the legacy pair is what pre-offset builds wrote
-// and readers keep accepting (see the header comment's version policy).
+// The two versions written and read: single engine and sharded.
 inline constexpr std::uint32_t kCheckpointVersion = 3;
 inline constexpr std::uint32_t kShardedCheckpointVersion = 4;
-inline constexpr std::uint32_t kLegacyCheckpointVersion = 1;
-inline constexpr std::uint32_t kLegacyShardedCheckpointVersion = 2;
 
 // Feed position and ingestion-error tallies at the instant of the
 // checkpoint; what the resume path needs besides the engine itself.
@@ -60,7 +58,7 @@ struct CheckpointMeta {
   std::uint64_t source_line = 0;  // 1-based line consumed in the source CSV
   // Byte offset just past the last consumed line (LineSpanScanner::offset),
   // so a span-ingest resume seeks instead of re-scanning the prefix. Zero
-  // in files written before version 3/4 and for non-seekable sources.
+  // for non-seekable sources.
   std::uint64_t source_offset = 0;
   data::IngestErrorReport errors; // rejections seen before the checkpoint
 };
@@ -73,12 +71,13 @@ void WriteCheckpoint(const std::string& path, const StreamEngine& engine,
 
 // Restores an engine and its feed position. Throws std::runtime_error on a
 // missing file, bad magic, unsupported version, or checksum mismatch.
-// Accepts both format versions; a sharded checkpoint is merged into one
-// engine (bit-identical to the section when the file holds exactly one).
+// Accepts both format versions (3 and 4); a sharded checkpoint is merged
+// into one engine (bit-identical to the section when the file holds
+// exactly one).
 StreamEngine ReadCheckpoint(std::istream& in, CheckpointMeta* meta);
 StreamEngine ReadCheckpoint(const std::string& path, CheckpointMeta* meta);
 
-// The full contents of a version-2 checkpoint: feed position, the router's
+// The full contents of a version-4 checkpoint: feed position, the router's
 // global interval cursor, and one engine section per shard at the instant
 // of the checkpoint.
 struct ShardedCheckpointState {
@@ -89,13 +88,13 @@ struct ShardedCheckpointState {
   std::vector<StreamEngine> engines;
 };
 
-// Serializes a version-2 checkpoint (atomically when given a path).
+// Serializes a version-4 checkpoint (atomically when given a path).
 void WriteShardedCheckpoint(std::ostream& out,
                             const ShardedCheckpointState& state);
 void WriteShardedCheckpoint(const std::string& path,
                             const ShardedCheckpointState& state);
 
-// Reads either version; a version-1 file yields one section with the
+// Reads either version; a version-3 file yields one section with the
 // router cursor reconstructed from the engine itself.
 ShardedCheckpointState ReadShardedCheckpoint(std::istream& in);
 ShardedCheckpointState ReadShardedCheckpoint(const std::string& path);

@@ -28,7 +28,7 @@ GeoEnricher::GeoEnricher(const geo::GeoMmdb* db, const GeoEnrichConfig& config)
       asns_(config.topk_capacity) {}
 
 void GeoEnricher::Enrich(const data::AttackRecord& record) {
-  bool allocated = false;  // one trie walk resolves record and coverage
+  bool allocated = false;  // one table read resolves record and coverage
   const geo::GeoRecord geo = db_->Lookup(record.target_ip, &allocated);
   ++enriched_;
   obs::MaybeAdd(obs_enriched_);

@@ -12,14 +12,15 @@
 //    (unit-vector sums, geodesy.h) and mean target distance per botnet,
 //    the live proxy for how geographically spread a botnet's targets are.
 //
-// Cost model: one O(32) trie walk + SplitMix64 jitter hash (the walk also
-// reports out-of-space, no second pass), two space-saving updates, one
-// hash-map probe, and one sincos pair + atan2 for the dispersion fold (the
-// running-centroid distance comes straight from the accumulated unit-vector
-// sum - no projected-back centroid, no Haversine) per record; no allocation
-// after the per-botnet table warms up (the country key is a 2-byte SSO
-// string). The database pointer is shared read-only across shards - under
-// ShardedStreamEngine every shard's enricher walks the same mapping.
+// Cost model: one /16 table read + one record read + SplitMix64 jitter hash
+// (the record's prefix also reports out-of-space, no second pass), two
+// space-saving updates, one hash-map probe, and one sincos pair + atan2 for
+// the dispersion fold (the running-centroid distance comes straight from
+// the accumulated unit-vector sum - no projected-back centroid, no
+// Haversine) per record; no allocation after the per-botnet table warms up
+// (the country key is a 2-byte SSO string). The database pointer is shared
+// read-only across shards - under ShardedStreamEngine every shard's
+// enricher reads the same mapping.
 //
 // Sharded-vs-single equivalence: records shard by botnet id, so each
 // botnet's dispersion state is built on exactly one shard in feed order and

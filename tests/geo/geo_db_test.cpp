@@ -1,9 +1,13 @@
 #include "geo/geo_db.h"
 
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
+#include "common/binio.h"
 #include "geo/geodesy.h"
 
 namespace ddos::geo {
@@ -130,6 +134,40 @@ TEST(GeoDatabase, ReservedRangesNeverAllocated) {
         static_cast<std::uint8_t>(hi), 50, 1, 1);
     EXPECT_FALSE(Db().IsAllocated(probe)) << hi;
   }
+}
+
+// Pins GeoDatabase's own output. The compiled reader resolves through the
+// same table and jitter function, so the mmdb equivalence tests cannot see
+// a change here, yet Tables III and V and Figs 9 and 14 consume exactly
+// these lookups. The digest is FNV-1a over every GeoRecord field (lat/lon
+// as IEEE-754 bit patterns, each string length-prefixed) plus IsAllocated,
+// across a 2^16-address multiplicative-stride sweep of the whole space.
+TEST(GeoDatabase, LookupDigestIsPinned) {
+  const GeoDatabase db = GeoDatabase::MakeDefault(42);
+  io::Fnv1a64 digest;
+  auto add_u64 = [&](std::uint64_t v) {
+    char le[8];
+    for (int i = 0; i < 8; ++i) le[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    digest.Update(le, sizeof(le));
+  };
+  auto add_string = [&](std::string_view s) {
+    add_u64(s.size());
+    digest.Update(s.data(), s.size());
+  };
+  for (std::uint32_t i = 0; i < (1u << 16); ++i) {
+    const net::IPv4Address addr(i * 2654435761u);
+    const GeoRecord rec = db.Lookup(addr);
+    add_string(rec.country_code);
+    add_string(rec.country_name);
+    add_string(rec.city);
+    add_u64(std::bit_cast<std::uint64_t>(rec.location.lat_deg));
+    add_u64(std::bit_cast<std::uint64_t>(rec.location.lon_deg));
+    add_u64(rec.asn.value());
+    add_string(rec.organization);
+    add_u64(static_cast<std::uint64_t>(rec.org_kind));
+    add_u64(db.IsAllocated(addr) ? 1 : 0);
+  }
+  EXPECT_EQ(digest.digest(), 0x8b857f738708ebb1ULL);
 }
 
 TEST(GeoDatabase, RejectsZeroBlocks) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -80,14 +81,14 @@ TEST_F(MmdbTest, OpenReportsCompiledShape) {
   EXPECT_EQ(mmdb.country_count(),
             static_cast<std::uint32_t>(db_->catalog().size()));
   EXPECT_EQ(mmdb.seed(), 0xfeedULL);
-  EXPECT_GT(mmdb.node_count(), 0u);
   EXPECT_EQ(mmdb.size_bytes(), ReadFile(path_).size());
 }
 
-// The tentpole contract: the compiled trie agrees with the synthetic
-// database bit-for-bit at every /16 boundary and one address to each side
-// of it - which exercises every allocated leaf, every unallocated fallback,
-// and the jitter hash across the whole keyspace.
+// The compiled file agrees with the synthetic database bit-for-bit at
+// every /16 boundary and one address to each side of it. Both readers share
+// the table and the jitter function, so this checks the encoding: every
+// table entry, every record field (including the prefix IsAllocated reads)
+// and the seed and jitter config carried in the header.
 TEST_F(MmdbTest, FullKeyspaceEquivalenceAtEveryBoundary) {
   const GeoMmdb mmdb = GeoMmdb::Open(path_);
   for (std::uint32_t p = 0; p < 65536; ++p) {
@@ -167,11 +168,23 @@ TEST_F(MmdbTest, BadMagicIsTyped) {
 }
 
 TEST_F(MmdbTest, UnsupportedVersionIsTyped) {
-  std::string bytes = ReadFile(path_);
-  bytes[8] = 99;  // version field, little-endian low byte
+  // Version 1 (the prefix-trie layout) is refused like any unknown version:
+  // a compiled file is derived data and is recompiled, not read.
   const std::string path = TempPath("mmdb_badversion.geo");
-  WriteFile(path, bytes);
-  EXPECT_EQ(OpenKind(path), GeoFormatError::Kind::kUnsupportedVersion);
+  for (const char version : {1, 99}) {
+    std::string bytes = ReadFile(path_);
+    bytes[8] = version;  // version field, little-endian low byte
+    WriteFile(path, bytes);
+    try {
+      GeoMmdb::Open(path);
+      ADD_FAILURE() << "version " << int{version} << " was opened";
+    } catch (const GeoFormatError& e) {
+      EXPECT_EQ(e.kind(), GeoFormatError::Kind::kUnsupportedVersion);
+      EXPECT_NE(std::string(e.what()).find("ddoscope geo compile"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   std::remove(path.c_str());
 }
 
@@ -195,7 +208,7 @@ TEST_F(MmdbTest, TruncationAtEveryBoundaryIsTyped) {
 TEST_F(MmdbTest, PayloadBitFlipsAreChecksumMismatches) {
   const std::string bytes = ReadFile(path_);
   const std::string path = TempPath("mmdb_bitflip.geo");
-  // Sample offsets across every section: trie, records, countries, strings,
+  // Sample offsets across every section: table, records, countries, strings,
   // the reserved/seed header fields, and the checksum trailer itself.
   std::vector<std::size_t> offsets = {16, 24, 47, 88, bytes.size() - 4};
   for (std::size_t off = 96; off + 9 < bytes.size(); off += bytes.size() / 13) {
@@ -236,48 +249,64 @@ TEST_F(MmdbTest, TrailingGarbageIsCorruptField) {
   std::remove(path.c_str());
 }
 
-TEST_F(MmdbTest, StructuralCorruptionWithValidChecksumIsCorruptField) {
-  // Re-sign a file whose record table claims a country index that does not
-  // exist: the checksum passes, the structural validation must not.
-  std::string bytes = ReadFile(path_);
-  const std::uint64_t record_offset = [&] {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[56 + i]))
-           << (8 * i);
-    }
-    return v;
-  }();
-  for (int i = 0; i < 4; ++i) {
-    bytes[record_offset + i] = static_cast<char>(0xff);  // country index
+std::uint64_t LoadLe(const std::string& bytes, std::size_t at, int width) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < width; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[at + i]))
+         << (8 * i);
   }
-  // Re-sign with the format's checksum: 4-lane FNV-1a 64 over LE u64 words
-  // (lane j takes words j, j+4, ...; zero-padded tail), lanes folded in
-  // order. Mirrors GeoChecksum in geo/mmdb.cpp.
+  return v;
+}
+
+void StoreLe(std::string& bytes, std::size_t at, int width, std::uint64_t v) {
+  for (int i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+// Re-signs a mutated file with the format's checksum: 4-lane FNV-1a 64 over
+// LE u64 words (lane j takes words j, j+4, ...; zero-padded tail), lanes
+// folded in order. Mirrors GeoChecksum in geo/mmdb.cpp.
+void Resign(std::string& bytes) {
   const std::size_t payload = bytes.size() - 8;
-  auto word_at = [&](std::size_t w) {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8 && w * 8 + i < payload; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[w * 8 + i]))
-           << (8 * i);
-    }
-    return v;
-  };
   constexpr std::uint64_t kPrime = 0x100000001b3ULL;
   std::uint64_t lane[4] = {0xcbf29ce484222325ULL, 0xcbf29ce484222325ULL,
                            0xcbf29ce484222325ULL, 0xcbf29ce484222325ULL};
   const std::size_t words = (payload + 7) / 8;
   for (std::size_t w = 0; w < words; ++w) {
-    lane[w % 4] = (lane[w % 4] ^ word_at(w)) * kPrime;
+    const int width = static_cast<int>(std::min<std::size_t>(8, payload - w * 8));
+    lane[w % 4] = (lane[w % 4] ^ LoadLe(bytes, w * 8, width)) * kPrime;
   }
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (const std::uint64_t l : lane) hash = (hash ^ l) * kPrime;
-  for (int i = 0; i < 8; ++i) {
-    bytes[bytes.size() - 8 + i] = static_cast<char>((hash >> (8 * i)) & 0xff);
-  }
+  StoreLe(bytes, payload, 8, hash);
+}
+
+TEST_F(MmdbTest, StructuralCorruptionWithValidChecksumIsCorruptField) {
+  // Each case re-signs a file whose structure is inconsistent: the
+  // checksum passes, the structural validation must not.
+  const std::string good = ReadFile(path_);
+  const std::size_t table_offset = LoadLe(good, 48, 8);
+  const std::size_t record_offset = LoadLe(good, 56, 8);
+  const std::uint64_t records = LoadLe(good, 36, 4);
   const std::string path = TempPath("mmdb_structural.geo");
-  WriteFile(path, bytes);
-  EXPECT_EQ(OpenKind(path), GeoFormatError::Kind::kCorruptField);
+  auto expect_corrupt = [&](const std::string& what, auto&& mutate) {
+    std::string bytes = good;
+    mutate(bytes);
+    Resign(bytes);
+    WriteFile(path, bytes);
+    EXPECT_EQ(OpenKind(path), GeoFormatError::Kind::kCorruptField) << what;
+  };
+  expect_corrupt("record country index past the country table",
+                 [&](std::string& b) { StoreLe(b, record_offset, 4, 0xffffffffu); });
+  expect_corrupt("table entry at the record count", [&](std::string& b) {
+    StoreLe(b, table_offset + 2 * 0x0a01, 2, records);  // 10.1/16
+  });
+  expect_corrupt("record prefix that does not map back", [&](std::string& b) {
+    // Record 0 claims the /16 that record 1 owns.
+    const std::uint64_t prefix1 = LoadLe(b, record_offset + 36 + 34, 2);
+    StoreLe(b, record_offset + 34, 2, prefix1);
+  });
   std::remove(path.c_str());
 }
 

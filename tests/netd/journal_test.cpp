@@ -151,24 +151,34 @@ TEST(Journal, TornTailIsDroppedAndFlagged) {
   std::remove(path.c_str());
 }
 
-TEST(Journal, ReadsVersion1BareCsvArchives) {
+// A headerless (v1, bare attack CSV) journal is refused, naming the path.
+// Reading it as v1 lost records: `--resume` appended v2 lines to it, and
+// the next replay parsed the file as v1 and dropped every appended line as
+// a torn tail. An empty file is still an empty journal.
+TEST(Journal, RefusesHeaderlessJournal) {
   const std::string path = TempPath("journal_v1.csv");
   const auto& attacks = ::ddos::testing::SmallDataset().attacks();
   {
     std::ofstream out(path);
     out << data::AttackCsvHeader() << "\n";
-    for (std::size_t i = 0; i < 5; ++i) {
-      data::WriteAttackCsvRow(out, attacks[i]);
-    }
+    data::WriteAttackCsvRow(out, attacks[0]);
   }
-  const JournalContents contents = ReadJournal(path);
-  EXPECT_FALSE(contents.torn_tail);
-  ASSERT_EQ(contents.entries.size(), 5u);
-  EXPECT_TRUE(contents.session_high.empty());
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(contents.entries[i].record.ddos_id, attacks[i].ddos_id);
-    EXPECT_EQ(contents.entries[i].session, "");
+  {  // What a resume does next: append v2 records to the existing file.
+    Journal journal(path, /*append_existing=*/true, FsyncPolicy::kOff, 0);
+    ASSERT_TRUE(journal.AppendBatch("s", MakeBatch(1, 3, 1)));
   }
+  try {
+    const JournalContents contents = ReadJournal(path);
+    ADD_FAILURE() << "headerless journal read as " << contents.entries.size()
+                  << " entries";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
+
+  { std::ofstream truncate(path, std::ios::trunc); }
+  const JournalContents empty = ReadJournal(path);
+  EXPECT_TRUE(empty.entries.empty());
+  EXPECT_FALSE(empty.torn_tail);
   std::remove(path.c_str());
 }
 

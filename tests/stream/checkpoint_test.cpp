@@ -196,11 +196,14 @@ TEST(Checkpoint, CorruptionIsDetectedNotHalfRestored) {
     std::istringstream in(bad);
     EXPECT_THROW(ReadCheckpoint(in, nullptr), std::runtime_error);
   }
-  {  // unsupported version (bytes 8..11)
+  // Unsupported version (bytes 8..11): 1 and 2 are the pre-release
+  // layouts without a source offset, no longer read.
+  for (const char version : {'\x01', '\x02', '\x7f'}) {
     std::string bad = good;
-    bad[8] = '\x7f';
+    bad[8] = version;
     std::istringstream in(bad);
-    EXPECT_THROW(ReadCheckpoint(in, nullptr), std::runtime_error);
+    EXPECT_THROW(ReadCheckpoint(in, nullptr), std::runtime_error)
+        << "version " << int{version};
   }
   {  // truncated file
     std::istringstream in(good.substr(0, good.size() / 2));

@@ -437,8 +437,8 @@ TEST(SpanIngest, OffsetCheckpointResumeEqualsUninterruptedRun) {
   ExpectExactFieldsIdentical(resumed.Snapshot(), uninterrupted.snapshot);
 }
 
-// CheckpointMeta round-trips the new source_offset field through the
-// version-3 frame (legacy files read back as offset 0, which the CLI
+// CheckpointMeta round-trips the source_offset field through the version-3
+// frame (an offset of 0, written for non-seekable sources, is what the CLI
 // treats as "fall back to line-skip resume").
 TEST(SpanIngest, MetaRoundTripsSourceOffset) {
   EXPECT_EQ(kCheckpointVersion, 3u);

@@ -4,6 +4,7 @@
 // forecasts finite and bounded. This guards the estimator across the whole
 // order surface, not just the cases the paper's pipeline happens to use.
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +21,14 @@ struct OrderCase {
   double phi2 = 0.0;
   double theta1 = 0.0;
 };
+
+// gtest prints a parameter without a PrintTo as a byte dump that includes
+// struct padding; the printed value becomes part of the registered CTest
+// name, so print the content instead to keep the names stable. The orders
+// are already in the test name's suffix.
+void PrintTo(const OrderCase& c, std::ostream* os) {
+  *os << "ar=" << c.phi1 << "," << c.phi2 << " ma=" << c.theta1;
+}
 
 std::vector<double> Simulate(const OrderCase& c, int n, std::uint64_t seed) {
   Rng rng(seed);

@@ -1321,9 +1321,9 @@ int CmdGeo(const std::vector<std::string>& positional,
     const geo::GeoDatabase db(geo::WorldCatalog::Builtin(), config, seed);
     geo::CompileGeoDatabase(db, out);
     const geo::GeoMmdb compiled = geo::GeoMmdb::Open(out);
-    std::printf("compiled %s: %zu bytes, %u trie nodes, %u records, "
+    std::printf("compiled %s: DDGEOMDB v%u, %zu bytes, %u records, "
                 "%u countries (seed=%llu)\n",
-                out.c_str(), compiled.size_bytes(), compiled.node_count(),
+                out.c_str(), geo::kGeoMmdbVersion, compiled.size_bytes(),
                 compiled.record_count(), compiled.country_count(),
                 static_cast<unsigned long long>(seed));
     return 0;
